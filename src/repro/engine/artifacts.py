@@ -209,7 +209,7 @@ class SharedArtifacts:
       the infeasible-edge set every condition-aware solve prunes with;
       ``None`` entries mark branchless functions;
     * ``condensation`` — the SCC condensation of that graph, in bottom-up
-      (reverse-topological) order, with its parallel-scheduling waves;
+      (reverse-topological) order, with its dependency waves;
     * ``summaries`` — one interprocedural :class:`FunctionSummary` per
       function, solved callees-first over the condensation; every checker's
       cross-function knowledge comes from here;
@@ -258,25 +258,19 @@ def unit_function_map(program: Program) -> dict[str, list[str]]:
 
 def build_shared_artifacts(program: Program,
                            precision: Precision = Precision.TYPE_BASED,
-                           summary_solver=None,
-                           consts_solver=None,
                            phase_solver=None) -> SharedArtifacts:
     """Derive every shared artifact from an already parsed corpus.
 
-    ``summary_solver(program, graph, condensation, consts)`` and
-    ``consts_solver(program)`` may be supplied to compute the function
-    summaries / constant facts elsewhere — the engine passes cache-aware,
-    optionally pool-backed solvers; the defaults solve them inline.  The
-    constant facts are solved *first* and seeded into the summary
-    computation so conditionally-dead effects never reach any summary.
+    By default the constant facts are solved inline and then seeded into
+    the summary computation, so conditionally-dead effects never reach any
+    summary — the reference every scheduled solve is compared against.
 
-    ``phase_solver(program, graph, pointsto, condensation)`` replaces both:
-    it returns ``(consts, summaries)`` in one call, letting the engine's
-    work-stealing executor overlap the two phases over a single dependency
-    graph (per-TU constant facts feed exactly the SCCs whose members they
-    cover, so summary work starts before the last TU's facts are solved).
-    The condensation is built first either way — it depends only on the
-    resolved call graph.
+    ``phase_solver(program, graph, pointsto, condensation)`` replaces that
+    solve: it returns ``(consts, summaries)`` in one call, letting the
+    engine run both phases as one task graph (per-TU constant facts feed
+    exactly the SCCs whose members they cover, so summary work starts
+    before the last TU's facts are solved).  The condensation is built
+    first either way — it depends only on the resolved call graph.
     """
     graph, indirect_calls = build_direct_callgraph(program)
     type_envs: dict[str, TypeEnv] = {}
@@ -289,16 +283,9 @@ def build_shared_artifacts(program: Program,
         consts, summaries = phase_solver(program, graph, pointsto,
                                          condensation)
     else:
-        if consts_solver is not None:
-            consts = consts_solver(program)
-        else:
-            consts = solve_program_facts(program)
-
-        if summary_solver is not None:
-            summaries = summary_solver(program, graph, condensation, consts)
-        else:
-            summaries = solve_summaries(program, graph, condensation,
-                                        consts=consts)
+        consts = solve_program_facts(program)
+        summaries = solve_summaries(program, graph, condensation,
+                                    consts=consts)
 
     blocking = derive_blocking(program, graph, summaries)
 

@@ -29,7 +29,7 @@ from ..kernel.corpus import ALL_FILES, KERNEL_FILES, CorpusFile
 from ..minic import ast_nodes as ast
 from ..minic.pretty import render_expression
 from .analyses import ANALYSIS_ORDER, blocking_witness, summary_payload
-from .core import SCHEDULER_MODES, AnalysisEngine, EngineReport
+from .core import AnalysisEngine, EngineReport
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,22 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated analyses, or 'all' (default). "
                           f"Known: {', '.join(ANALYSIS_ORDER)}")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; >1 shards by translation unit, "
-                          "0 auto-detects the machine's CPU count "
-                          "(os.cpu_count())")
-    run.add_argument("--scheduler", default="work-steal",
-                     choices=SCHEDULER_MODES,
-                     help="parallel scheduling strategy: 'work-steal' "
-                          "(default) drives one persistent worker pool from "
-                          "a dependency-counted ready queue with no "
-                          "inter-wave barrier; 'wave' is the legacy "
-                          "Pool.map-per-wave barrier mode; 'inline' runs "
-                          "the work-steal task graph in-process (for "
-                          "debugging/determinism checks)")
-    run.add_argument("--chunk", type=int, default=None,
-                     help="max tasks per work-steal dispatch batch "
-                          "(default: the scheduler's MAX_CHUNK); recorded "
-                          "in --bench-json entries for tuning sweeps")
+                     help="worker processes, 0 = the machine's CPU count "
+                          "(os.cpu_count()).  Every run solves one "
+                          "dependency-counted task graph: in-process at "
+                          "1, on a forked work-stealing pool (clamped to "
+                          "the usable CPUs, at least 2) above it")
     run.add_argument("--cache-dir", default=None,
                      help="directory for the on-disk artifact cache")
     run.add_argument("--precision", default="type_based",
@@ -199,8 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    report = engine.run(analyses=names, jobs=args.jobs,
-                        scheduler=args.scheduler, chunk=args.chunk)
+    report = engine.run(analyses=names, jobs=args.jobs)
     incremental = (_bench_incremental(files, precision)
                    if args.bench_incremental else None)
     if args.output:

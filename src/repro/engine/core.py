@@ -3,17 +3,17 @@
 :class:`AnalysisEngine` parses each corpus translation unit exactly once,
 derives the shared artifacts (AST, symbol tables, annotations, call graph,
 points-to solution) through the content-keyed :class:`ArtifactCache`, and
-dispatches every registered analysis over them — serially, or sharded by
-translation unit across a ``multiprocessing`` pool.  Per-analysis shard
-payloads are merged by the same code path in both modes, so parallel runs
-produce byte-identical reports.
+dispatches every registered analysis over them.  Constant facts, SCC
+summaries and checker shards are one dependency-counted task graph, run
+in-process for serial runs and on a forked work-stealing pool otherwise;
+results are merged in a fixed order, so parallel runs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -29,7 +29,6 @@ from ..dataflow.interproc import (
     build_context,
     callgraph_fingerprint,
     solve_scc,
-    solve_summaries,
 )
 from ..deputy.checker import DeputyOptions
 from ..kernel.build import ParseDiagnostic, parse_corpus, parse_corpus_tolerant
@@ -38,7 +37,6 @@ from ..machine.program import Program
 from .analyses import (
     ANALYSIS_ORDER,
     AnalysisReport,
-    EngineAnalysis,
     diagnostics_report,
     finding_sort_key,
     make_registry,
@@ -49,68 +47,23 @@ from .artifacts import (
     build_shared_artifacts,
     unit_function_map,
 )
-from .scheduler import (
-    InlineExecutor,
-    Task,
-    WorkStealingExecutor,
-    fork_available,
-    resolve_jobs,
-    usable_cpus,
-)
-
-#: Scheduler modes accepted by :meth:`AnalysisEngine.run`.  ``work-steal``
-#: (the default) drives all phases through one persistent ready-queue
-#: executor; ``wave`` keeps the historical per-wave ``Pool.map`` barriers
-#: (the bench comparison baseline); ``inline`` runs the work-stealing task
-#: graph in-process (tests use it to scramble completion order).
-SCHEDULER_MODES = ("work-steal", "wave", "inline")
+from .scheduler import Task, open_executor, resolve_jobs
 
 #: Task tuple: (analysis name, shard index, function subset or None).
 _Task = tuple[str, int, "list[str] | None"]
 
-#: Worker state inherited through fork(); set only around a parallel run.
-_WORKER_CONTEXT: "tuple[SharedArtifacts, dict[str, EngineAnalysis]] | None" = None
 
-#: (context, graph) for summary-wave workers, inherited through fork().
-_SUMMARY_CONTEXT = None
-
-#: Program for constant-facts workers, inherited through fork().
-_CONSTS_CONTEXT = None
-
-
-def _run_shard_task(task: _Task) -> tuple[str, int, dict]:
-    """Execute one shard in a worker (or inline, for the serial path)."""
-    assert _WORKER_CONTEXT is not None, "worker context not initialised"
-    artifacts, registry = _WORKER_CONTEXT
-    name, index, functions = task
-    return name, index, registry[name].run_shard(artifacts, functions)
-
-
-def _solve_scc_task(task: "tuple[tuple[str, ...], dict]") -> dict:
-    """Solve one SCC in a worker; program/graph arrive via fork inheritance,
-    the (small) dependency summaries travel with the task."""
-    assert _SUMMARY_CONTEXT is not None, "summary context not initialised"
-    ctx, graph = _SUMMARY_CONTEXT
-    scc, solved = task
-    return solve_scc(scc, ctx, graph, solved)
-
-
-def _solve_consts_task(functions: "list[str]") -> dict:
-    """Solve one translation unit's condition facts in a worker."""
-    assert _CONSTS_CONTEXT is not None, "consts context not initialised"
-    return solve_program_facts(_CONSTS_CONTEXT, functions)
-
-
-def _make_steal_handler(program, graph, pointsto, precision, registry):
-    """The per-worker task handler for work-steal mode.
+def make_task_handler(program, graph, pointsto, precision, registry):
+    """The per-worker task handler shared by the engine and the service.
 
     Returns a closure over the phase-independent artifacts (parsed program,
-    resolved call graph, points-to solution) — workers receive it through
-    ``fork()`` at executor construction, so none of it is ever pickled.
-    Per-phase inputs arrive with the task payload (dependency summaries,
-    member constant facts) or via broadcast (the merged artifacts the
-    checker shards consume); ``memo`` holds what a worker derives once and
-    reuses across tasks (its summary context, its assembled artifact view).
+    resolved call graph, points-to solution) — pool workers receive it
+    through ``fork()`` at executor construction, so none of it is ever
+    pickled.  Per-phase inputs arrive with the task payload (dependency
+    summaries, member constant facts) or via broadcast (the merged artifacts
+    the checker shards consume); ``memo`` holds what a worker derives once
+    and reuses across tasks (its summary context, its assembled artifact
+    view).
     """
     memo: dict = {}
 
@@ -160,43 +113,66 @@ def _make_steal_handler(program, graph, pointsto, precision, registry):
     return handler
 
 
-def _scc_payload_fn(scc, graph, condensation, unit_of, cached_consts,
-                    spec_facts=None):
-    """Late-bound payload for one SCC task: assembled at dispatch time from
-    the results of the tasks it depends on.
+def scc_tasks(graph, condensation, indices, facts, clean=None,
+              fact_task=None) -> "list[Task]":
+    """One summary task per SCC in ``indices`` (condensation indices).
 
-    Ships ``(scc, needed, member_facts)`` — the out-of-component callee
-    summaries this component's fixpoint can look up, and the constant
-    facts of its member functions (from the members' consts tasks, the
-    parse workers' speculative solves, or the cached artifact when this
-    run only re-solves summaries)."""
+    A task depends on the tasks of its callee components that are also in
+    ``indices`` and on the consts tasks that solve its members' facts
+    (``fact_task`` maps a function to that task's id).  Its payload is bound
+    at dispatch as ``(scc, needed, member_facts)``: ``needed`` holds the
+    out-of-component callee summaries the fixpoint can look up — from a
+    dependency's result, or from ``clean`` for components solved earlier —
+    and ``member_facts`` the members' constant facts, from ``facts`` or from
+    their consts task's result.  Per-task size thus tracks the component,
+    not the program.
+    """
+    clean = clean or {}
+    fact_task = fact_task or {}
+    indices = sorted(indices)
+    scheduled = set(indices)
+    wave_of = {index: depth
+               for depth, wave in enumerate(condensation.waves)
+               for index in wave}
 
-    def payload_fn(results):
-        members = set(scc)
-        needed = {}
-        for name in scc:
-            for callee in graph.edges.get(name, ()):
-                if callee in members or callee in needed:
+    def payload_fn(scc):
+        def bind(results):
+            members = set(scc)
+            needed = {}
+            for name in scc:
+                for callee in graph.edges.get(name, ()):
+                    if callee in members or callee in needed:
+                        continue
+                    owner = condensation.scc_of.get(callee)
+                    component = results.get(f"scc:{owner}")
+                    if component is not None:
+                        if callee in component:
+                            needed[callee] = component[callee]
+                    elif callee in clean:
+                        needed[callee] = clean[callee]
+            member_facts = {}
+            for name in scc:
+                if name in facts:
+                    member_facts[name] = facts[name]
                     continue
-                owner = condensation.scc_of.get(callee)
-                solved = results.get(f"scc:{owner}")
-                if solved is not None and callee in solved:
-                    needed[callee] = solved[callee]
-        member_facts = {}
-        for name in scc:
-            if cached_consts is not None:
-                if name in cached_consts:
-                    member_facts[name] = cached_consts[name]
-                continue
-            if spec_facts is not None and name in spec_facts:
-                member_facts[name] = spec_facts[name]
-                continue
-            shard = results.get(f"consts:{unit_of.get(name)}")
-            if shard is not None and name in shard:
-                member_facts[name] = shard[name]
-        return (scc, needed, member_facts)
+                shard = results.get(fact_task.get(name))
+                if shard is not None and name in shard:
+                    member_facts[name] = shard[name]
+            return (scc, needed, member_facts)
 
-    return payload_fn
+        return bind
+
+    tasks = []
+    for index in indices:
+        scc = condensation.sccs[index]
+        deps = sorted({fact_task[name] for name in scc if name in fact_task})
+        deps.extend(f"scc:{callee}"
+                    for callee in condensation.scc_callees.get(index, ())
+                    if callee in scheduled)
+        tasks.append(Task(id=f"scc:{index}", kind="scc", deps=tuple(deps),
+                          payload_fn=payload_fn(scc),
+                          wave=wave_of.get(index, 0)))
+    return tasks
 
 
 @dataclass
@@ -371,9 +347,9 @@ class AnalysisEngine:
         #: (0.0 on a cache hit; excluded from deterministic report fields).
         self._consts_cache_hit: bool | None = None
         self._consts_solve_seconds: float = 0.0
-        #: The run's persistent executor (work-steal/inline modes).  Created
-        #: by the first phase that schedules work, reused by every later
-        #: phase of the same run, closed when the run finishes.
+        #: The run's persistent executor.  Created by the first phase that
+        #: schedules work, reused by every later phase of the same run,
+        #: closed when the run (or a standalone ``artifacts()``) finishes.
         self._executor = None
         #: Test hook: ready-queue pick function for the inline executor
         #: (scrambles completion order to prove determinism).
@@ -384,9 +360,6 @@ class AnalysisEngine:
         #: functions of adopted TUs, so the consts phase skips them.
         self._parse_stats = None
         self._speculative_facts: dict = {}
-        #: Dispatch chunk override for the work-stealing executor
-        #: (``--chunk``); None keeps the scheduler default.
-        self._chunk: int | None = None
 
     # -- shared artifacts ---------------------------------------------------
 
@@ -395,44 +368,41 @@ class AnalysisEngine:
         return self.cache.content_key(kind, files=self.files,
                                       defines=self.defines)
 
-    def program(self, jobs: int = 1,
-                parse_mode: str | None = None) -> Program:
+    def program(self, jobs: int = 1) -> Program:
         """The parsed, linked corpus — built at most once per content key.
 
-        With ``jobs > 1`` (or an explicit ``parse_mode``) the build runs the
-        two-pass speculative parallel parser instead of the serial
-        front-end; the replay pass makes the result byte-identical either
-        way, so both paths share one cache key.
+        With ``jobs > 1`` the build runs the two-pass speculative parallel
+        parser instead of the serial front-end; the replay pass makes the
+        result byte-identical either way, so both paths share one cache key.
         """
         if self.tolerant:
-            return self._tolerant_parse(jobs, parse_mode)[0]
+            return self._tolerant_parse(jobs)[0]
 
         def build() -> Program:
-            if jobs > 1 or parse_mode is not None:
-                from ..kernel.parallel import parse_corpus_parallel
-                result = parse_corpus_parallel(
-                    self.files, self.defines, jobs=jobs, mode=parse_mode)
-                self._parse_stats = result.stats
-                self._speculative_facts = dict(result.facts)
-                return result.program
+            if jobs > 1:
+                return self._parse_parallel(jobs, tolerant=False)[0]
             return parse_corpus(self.files, self.defines)
 
         return self.cache.get_or_build(self.program_key(), build)
 
-    def _tolerant_parse(self, jobs: int = 1, parse_mode: str | None = None
+    def _tolerant_parse(self, jobs: int = 1
                         ) -> "tuple[Program, tuple[ParseDiagnostic, ...]]":
         def build():
-            if jobs > 1 or parse_mode is not None:
-                from ..kernel.parallel import parse_corpus_parallel
-                result = parse_corpus_parallel(
-                    self.files, self.defines, jobs=jobs, tolerant=True,
-                    mode=parse_mode)
-                self._parse_stats = result.stats
-                self._speculative_facts = dict(result.facts)
-                return (result.program, result.diagnostics)
+            if jobs > 1:
+                return self._parse_parallel(jobs, tolerant=True)
             return parse_corpus_tolerant(self.files, self.defines)
 
         return self.cache.get_or_build(self.program_key(), build)
+
+    def _parse_parallel(self, jobs: int, tolerant: bool):
+        """Parse with the speculative front-end, keeping its stats and the
+        constant facts its workers solved while parsing."""
+        from ..kernel.parallel import parse_corpus_parallel
+        result = parse_corpus_parallel(self.files, self.defines, jobs=jobs,
+                                       tolerant=tolerant)
+        self._parse_stats = result.stats
+        self._speculative_facts = dict(result.facts)
+        return result.program, result.diagnostics
 
     def parse_diagnostics(self) -> tuple[ParseDiagnostic, ...]:
         """Per-file frontend errors (tolerant mode only; else empty)."""
@@ -466,175 +436,45 @@ class AnalysisEngine:
         """A ``program_factory`` for the hbench/boot path (see above)."""
         return self.fresh_kernel_program
 
-    def artifacts(self, jobs: int = 1,
-                  scheduler: str = "wave") -> SharedArtifacts:
+    def artifacts(self) -> SharedArtifacts:
         """Shared artifacts for the configured precision (memory-cached).
 
-        In ``wave`` mode with ``jobs > 1`` the interprocedural summary
-        computation is scheduled in SCC waves across a fork pool —
-        components of the same wave are mutually independent, so the merged
-        result is byte-identical with the serial bottom-up order by
-        construction.  In ``work-steal``/``inline`` mode the constant-facts
-        and summary phases are instead solved over one dependency-counted
-        task graph on the run's persistent executor (see
-        :meth:`_phase_solver`); the merge replays serial order either way.
+        A standalone call solves in-process and closes the executor its
+        build opened; ``run`` keeps its executor open for the checker
+        shards (see :meth:`_shared_artifacts`).
         """
+        try:
+            return self._shared_artifacts(jobs=1)
+        finally:
+            self._close_executor()
+
+    def _shared_artifacts(self, jobs: int) -> SharedArtifacts:
         key = self.cache.content_key(
             "artifacts", files=self.files, defines=self.defines,
             extra={"precision": self.precision.name})
-        if scheduler in ("work-steal", "inline"):
-            return self.cache.get_or_build(
-                key,
-                lambda: build_shared_artifacts(
-                    self.program(), self.precision,
-                    phase_solver=lambda program, graph, pointsto, condensation:
-                    self._phase_solver(program, graph, pointsto, condensation,
-                                       jobs, scheduler)),
-                persist=False)
         return self.cache.get_or_build(
             key,
             lambda: build_shared_artifacts(
                 self.program(), self.precision,
-                summary_solver=lambda program, graph, condensation, consts:
-                self._solve_summaries(program, graph, condensation, jobs,
-                                      consts),
-                consts_solver=lambda program:
-                self._solve_consts(program, jobs)),
+                phase_solver=lambda program, graph, pointsto, condensation:
+                self._phase_solver(program, graph, pointsto, condensation,
+                                   jobs)),
             persist=False)
 
-    def _solve_consts(self, program, jobs: int):
-        """The cache-aware condition-facts solver injected into the build.
-
-        The artifact depends only on the parsed sources (files + defines +
-        package version) and the abstract-domain set, not on points-to
-        precision, so engines at different precisions share one entry —
-        while flipping the domain product (the ``domains`` salt) invalidates
-        persisted facts instead of misreading them.  Functions are
-        independent, so ``--jobs N`` shards the solve by translation unit
-        over the fork pool; the merge re-orders results into program
-        function order, making serial and parallel artifacts byte-identical.
-        """
-        key = self.cache.content_key(
-            "consts", files=self.files, defines=self.defines,
-            extra={"domains": domain_fingerprint(DEFAULT_DOMAINS)})
-        self._consts_cache_hit = self.cache.contains(key)
-
-        def build():
-            start = time.perf_counter()
-            value = self._compute_consts(program, jobs)
-            self._consts_solve_seconds = time.perf_counter() - start
-            return value
-
-        return self.cache.get_or_build(key, build)
-
-    def _compute_consts(self, program, jobs: int):
-        global _CONSTS_CONTEXT
-        unit_map = [functions for functions
-                    in unit_function_map(program).values() if functions]
-        use_parallel = (jobs > 1 and len(unit_map) > 1
-                        and "fork" in multiprocessing.get_all_start_methods())
-        if not use_parallel:
-            return solve_program_facts(program)
-        _CONSTS_CONTEXT = program
-        try:
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=jobs) as pool:
-                shards = pool.map(_solve_consts_task, unit_map)
-        finally:
-            _CONSTS_CONTEXT = None
-        merged: dict = {}
-        for shard in shards:
-            merged.update(shard)
-        # Deterministic ordering: program definition order, as serial does.
-        return {name: merged[name] for name, _ in program.functions_subset(None)
-                if name in merged}
-
-    def _solve_summaries(self, program, graph, condensation, jobs: int,
-                         consts=None):
-        """The cache-aware summary solver injected into the artifact build.
-
-        The cache key mixes in the call-graph fingerprint — any change to
-        the corpus or to the points-to resolution produces a different graph
-        hash and invalidates persisted summaries; the summaries themselves
-        are small, picklable records, so they round-trip through the
-        on-disk layer (``--cache-dir``) across processes.  ``consts`` (the
-        engine's constant-facts artifact) seeds the computation so summaries
-        are taken over the pruned CFGs; the sources determine both artifacts,
-        so the shared files+defines key components keep them in lockstep.
-        """
-        key = self.cache.content_key(
-            "summaries", files=self.files, defines=self.defines,
-            extra={"precision": self.precision.name,
-                   "callgraph": callgraph_fingerprint(graph)})
-        self._summary_cache_hit = self.cache.contains(key)
-        return self.cache.get_or_build(
-            key, lambda: self._compute_summaries(program, graph,
-                                                 condensation, jobs, consts))
-
-    def _compute_summaries(self, program, graph, condensation, jobs: int,
-                           consts=None):
-        global _SUMMARY_CONTEXT
-        ctx = build_context(program, graph, consts=consts)
-        use_parallel = (jobs > 1
-                        and "fork" in multiprocessing.get_all_start_methods())
-        if not use_parallel:
-            return solve_summaries(program, graph, condensation, ctx)
-        _SUMMARY_CONTEXT = (ctx, graph)
-        try:
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=jobs) as pool:
-                def scc_runner(wave_sccs, _ctx, _graph, solved):
-                    # Each task carries only the summaries its component can
-                    # actually look up (its members' out-of-SCC callees),
-                    # not the whole solved dict — keeping the per-task
-                    # pickle payload constant-size as the corpus grows.
-                    tasks = []
-                    for scc in wave_sccs:
-                        members = set(scc)
-                        needed = {}
-                        for name in scc:
-                            for callee in graph.edges.get(name, ()):
-                                if callee not in members and callee in solved:
-                                    needed[callee] = solved[callee]
-                        tasks.append((scc, needed))
-                    return pool.map(_solve_scc_task, tasks)
-
-                return solve_summaries(program, graph, condensation, ctx,
-                                       scc_runner=scc_runner)
-        finally:
-            _SUMMARY_CONTEXT = None
-
     def _ensure_executor(self, program, graph, pointsto, jobs: int,
-                         scheduler: str):
-        """The run's persistent executor, forked on first use.
+                         tasks: int):
+        """The run's persistent executor, opened on first use.
 
         Workers fork *after* points-to resolution (``resolve`` mutates the
         call graph in place), so the handler's inherited view of the graph
-        is the final one every phase agrees on.
+        is the final one every phase agrees on.  ``tasks`` is the size of
+        the first graph it runs (see :func:`open_executor`).
         """
         if self._executor is None:
-            handler = _make_steal_handler(program, graph, pointsto,
-                                          self.precision, self.registry)
-            # Forking more workers than cores only adds fork/IPC cost while
-            # time-slicing the same CPUs — clamp the pool to the affinity
-            # mask.  An explicit --jobs >= 2 still gets a real pool (the
-            # floor of 2) so parallel behavior stays testable everywhere.
-            effective = min(jobs, max(2, usable_cpus()))
-            if (scheduler == "inline" or effective < 2
-                    or not fork_available()):
-                self._executor = InlineExecutor(handler,
-                                                pick=self._inline_pick)
-                if self._chunk is not None:
-                    # Inline dispatch is one-at-a-time, but the stats still
-                    # record the requested cap so bench entries compare
-                    # like-for-like across hosts.
-                    self._executor.stats.max_chunk = self._chunk
-            else:
-                self._executor = WorkStealingExecutor(effective, handler,
-                                                      chunk=self._chunk)
-            # Schedule replays compare barrier vs queue at the width the
-            # user asked for, even when the host clamped the real pool.
-            self._executor.stats.sim_jobs = jobs
+            handler = make_task_handler(program, graph, pointsto,
+                                        self.precision, self.registry)
+            self._executor = open_executor(jobs, handler, tasks,
+                                           pick=self._inline_pick)
         return self._executor
 
     def _close_executor(self) -> None:
@@ -643,22 +483,24 @@ class AnalysisEngine:
             self._executor = None
 
     def _phase_solver(self, program, graph, pointsto, condensation,
-                      jobs: int, scheduler: str):
+                      jobs: int):
         """Solve constant facts and summaries as one overlapped task graph.
 
         Per-TU consts tasks have no dependencies; each SCC task depends on
         the consts tasks covering its member functions plus its callee SCC
         tasks — so summary work starts as soon as *its* TUs' facts exist,
         while other TUs are still being solved, with no phase barrier in
-        between.  Dependency summaries and member facts are late-bound into
-        each task's payload at dispatch, keeping per-task pickle size
-        proportional to the component, not the program.
+        between (see :func:`scc_tasks`).
 
-        Both artifacts keep their existing cache keys: a warm run loads
-        them here without scheduling anything, and serial/wave runs share
-        the entries.  Merging replays the serial order (program order for
-        consts, wave order for summaries), so the artifacts are
-        byte-identical with the serial path no matter when tasks finished.
+        The two artifacts keep separate cache keys: a warm run loads them
+        here without scheduling anything.  The summary key mixes in the
+        call-graph fingerprint, so any change to the corpus or to the
+        points-to resolution invalidates persisted summaries; the consts key
+        depends only on the sources and the abstract-domain set, so engines
+        at different precisions share it.  Merging replays the reference
+        order (program order for consts, wave order for summaries), so the
+        artifacts are byte-identical with :func:`build_shared_artifacts`'
+        inline solve no matter when tasks finished.
         """
         consts_key = self.cache.content_key(
             "consts", files=self.files, defines=self.defines,
@@ -676,67 +518,42 @@ class AnalysisEngine:
         if consts_hit and summaries_hit:
             return cached_consts, self.cache.get_or_build(summaries_key, dict)
 
-        executor = self._ensure_executor(program, graph, pointsto, jobs,
-                                         scheduler)
-        unit_map = {filename: functions for filename, functions
-                    in unit_function_map(program).items() if functions}
-        unit_of = {name: filename for filename, functions in unit_map.items()
-                   for name in functions}
-
-        # Facts the parallel parse workers already solved while parsing:
-        # exact facts_of results, so their functions need no consts task.
-        # A unit fully covered schedules nothing; partially covered units
-        # get a shrunken payload of just the missing names.
-        spec_facts = self._speculative_facts if not consts_hit else {}
-        solved_units: set[str] = set()
-
+        # Facts known up front: the cached artifact, or the exact facts_of
+        # results the parallel parse workers solved while parsing.  Only the
+        # remaining functions get a consts task, one per unit.
+        known = cached_consts if consts_hit else self._speculative_facts
         tasks: list[Task] = []
+        fact_task: dict[str, str] = {}
         if not consts_hit:
-            for filename, functions in unit_map.items():
-                missing = [name for name in functions
-                           if name not in spec_facts]
-                if not missing:
-                    solved_units.add(filename)
-                    continue
-                tasks.append(Task(id=f"consts:{filename}", kind="consts",
-                                  payload=missing, wave=-1))
+            for filename, functions in unit_function_map(program).items():
+                missing = [name for name in functions if name not in known]
+                if missing:
+                    task_id = f"consts:{filename}"
+                    tasks.append(Task(id=task_id, kind="consts",
+                                      payload=missing, wave=-1))
+                    fact_task.update(dict.fromkeys(missing, task_id))
+        consts_ids = [task.id for task in tasks]
         if not summaries_hit:
-            wave_of = {index: wave_index
-                       for wave_index, wave in enumerate(condensation.waves)
-                       for index in wave}
-            for index, scc in enumerate(condensation.sccs):
-                deps: list[str] = []
-                if not consts_hit:
-                    deps.extend(sorted({f"consts:{unit_of[name]}"
-                                        for name in scc
-                                        if name in unit_of
-                                        and unit_of[name] not in solved_units}))
-                deps.extend(f"scc:{callee}" for callee
-                            in condensation.scc_callees.get(index, ()))
-                tasks.append(Task(
-                    id=f"scc:{index}", kind="scc", deps=tuple(deps),
-                    payload_fn=_scc_payload_fn(scc, graph, condensation,
-                                               unit_of, cached_consts,
-                                               spec_facts or None),
-                    wave=wave_of.get(index, 0)))
+            tasks.extend(scc_tasks(graph, condensation,
+                                   range(len(condensation.sccs)), known,
+                                   fact_task=fact_task))
 
+        executor = self._ensure_executor(program, graph, pointsto, jobs,
+                                         len(tasks))
         results = executor.run(tasks)
 
         if consts_hit:
             consts = cached_consts
         else:
-            merged: dict = dict(spec_facts)
-            for filename in unit_map:
-                if filename in solved_units:
-                    continue
-                merged.update(results[f"consts:{filename}"])
+            merged: dict = dict(known)
+            for task_id in consts_ids:
+                merged.update(results[task_id])
             ordered = {name: merged[name]
                        for name, _ in program.functions_subset(None)
                        if name in merged}
             consts = self.cache.get_or_build(consts_key, lambda: ordered)
             self._consts_solve_seconds = sum(
-                busy for task_id, busy in executor.stats.task_busy.items()
-                if task_id.startswith("consts:"))
+                executor.stats.task_busy[task_id] for task_id in consts_ids)
         if summaries_hit:
             summaries = self.cache.get_or_build(summaries_key, dict)
         else:
@@ -828,30 +645,16 @@ class AnalysisEngine:
                 tasks.append((name, 0, None))
         return tasks
 
-    def _run_shards_steal(self, artifacts: SharedArtifacts,
-                          tasks: "list[_Task]", jobs: int, scheduler: str):
+    def _run_shards(self, artifacts: SharedArtifacts,
+                    tasks: "list[_Task]", jobs: int):
         """Run the checker shards on the run's persistent executor.
 
-        The merged artifacts are broadcast once per worker (inbox FIFO
-        order guarantees every shard task dispatched afterwards sees them);
-        per-unit shards then ship only ``(analysis, index, functions)``.
-        Whole-program analyses run inline in the parent, overlapping the
-        pool instead of serializing behind it.
+        A worker pool gets the merged artifacts broadcast once per worker
+        (inbox FIFO order guarantees every shard task dispatched afterwards
+        sees them); per-unit shards then ship only ``(analysis, index,
+        functions)``.  Whole-program analyses run in the parent, overlapping
+        the pool instead of serializing behind it.
         """
-        executor = self._ensure_executor(artifacts.program, artifacts.graph,
-                                         artifacts.pointsto, jobs, scheduler)
-        if executor.parallel:
-            executor.broadcast("artifacts", {
-                "consts": artifacts.consts,
-                "condensation": artifacts.condensation,
-                "summaries": artifacts.summaries,
-                "blocking": artifacts.blocking,
-                "irq_handlers": artifacts.irq_handlers,
-                "error_returning": artifacts.error_returning,
-                "annotations": artifacts.annotations,
-            })
-        else:
-            executor.broadcast("shared_artifacts", artifacts)
         shard_wave = len(artifacts.condensation.waves) + 1
         steal_tasks: list[Task] = []
         parent_tasks = []
@@ -867,25 +670,23 @@ class AnalysisEngine:
                 steal_tasks.append(Task(id=task_id, kind="shard",
                                         payload=(name, index, functions),
                                         wave=shard_wave))
+        executor = self._ensure_executor(artifacts.program, artifacts.graph,
+                                         artifacts.pointsto, jobs,
+                                         len(steal_tasks))
+        if executor.parallel:
+            executor.broadcast("artifacts", {
+                "consts": artifacts.consts,
+                "condensation": artifacts.condensation,
+                "summaries": artifacts.summaries,
+                "blocking": artifacts.blocking,
+                "irq_handlers": artifacts.irq_handlers,
+                "error_returning": artifacts.error_returning,
+                "annotations": artifacts.annotations,
+            })
+        else:
+            executor.broadcast("shared_artifacts", artifacts)
         results = executor.run(steal_tasks, parent_tasks)
-        return list(results.values()), executor.parallel
-
-    def _run_shards_pool(self, artifacts: SharedArtifacts,
-                         tasks: "list[_Task]", jobs: int):
-        """The historical shard phase: one ``Pool.map`` over all shards."""
-        global _WORKER_CONTEXT
-        use_parallel = jobs > 1 and len(tasks) > 1 and fork_available()
-        _WORKER_CONTEXT = (artifacts, self.registry)
-        try:
-            if use_parallel:
-                context = multiprocessing.get_context("fork")
-                with context.Pool(processes=jobs) as pool:
-                    results = pool.map(_run_shard_task, tasks)
-            else:
-                results = [_run_shard_task(task) for task in tasks]
-        finally:
-            _WORKER_CONTEXT = None
-        return results, use_parallel
+        return list(results.values()), executor
 
     @staticmethod
     def _perf_payload(mode: str, phases: dict, executor) -> dict:
@@ -893,70 +694,49 @@ class AnalysisEngine:
         comparisons alongside ``cache_stats``)."""
         payload = {"phases": {key: round(value, 4)
                               for key, value in phases.items()}}
-        scheduler_stats = {"mode": mode}
-        if executor is not None:
-            scheduler_stats.update(executor.stats.to_dict())
-            busy = {"consts": 0.0, "scc": 0.0, "shard": 0.0}
-            for task_id, seconds in executor.stats.task_busy.items():
-                kind = task_id.split(":", 1)[0]
-                if kind in busy:
-                    busy[kind] += seconds
-            scheduler_stats["busy_by_phase"] = {
-                key: round(value, 4) for key, value in busy.items()}
+        scheduler_stats = {"mode": mode, **executor.stats.to_dict()}
+        busy = {"consts": 0.0, "scc": 0.0, "shard": 0.0}
+        for task_id, seconds in executor.stats.task_busy.items():
+            kind = task_id.split(":", 1)[0]
+            if kind in busy:
+                busy[kind] += seconds
+        scheduler_stats["busy_by_phase"] = {
+            key: round(value, 4) for key, value in busy.items()}
         payload["scheduler"] = scheduler_stats
         return payload
 
     def run(self, analyses: Iterable[str] | str | None = None,
-            jobs: int = 1, scheduler: str = "work-steal",
-            chunk: int | None = None) -> EngineReport:
+            jobs: int = 1) -> EngineReport:
         """Run the selected analyses over the corpus and merge their reports.
 
-        ``jobs=0`` auto-detects ``os.cpu_count()``.  ``scheduler`` selects
-        how parallel work is driven: ``work-steal`` (default) runs consts,
-        summaries and checker shards over one persistent dependency-counted
-        executor with no phase barriers; ``wave`` keeps the historical
-        per-wave pools; ``inline`` exercises the work-steal task graph
-        in-process.  Serial runs (``jobs=1``) bypass the executor entirely.
-        ``chunk`` caps the executor's dispatch batch (``--chunk``).  All
-        modes produce byte-identical reports.
+        ``jobs=0`` auto-detects ``os.cpu_count()``.  Consts, summaries and
+        checker shards run as one dependency-counted task graph with no
+        phase barriers: in-process for ``jobs=1`` (the report's scheduler
+        mode is ``serial``), on one persistent forked work-stealing pool
+        otherwise (see :func:`open_executor`).  Every run produces a
+        byte-identical report.
 
         Parallel runs also parse in parallel: the two-pass speculative
         front-end hands adopted TUs' speculative constant facts straight to
         the consts phase, so per-TU solving effectively starts before the
         last TU finishes parsing.
         """
-        if scheduler not in SCHEDULER_MODES:
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             f"(known: {', '.join(SCHEDULER_MODES)})")
         jobs = resolve_jobs(jobs)
-        self._chunk = chunk
         start = time.perf_counter()
         phases: dict[str, float] = {}
         names = self.resolve_analyses(analyses)
-        use_steal = (scheduler == "inline"
-                     or (scheduler == "work-steal" and jobs > 1
-                         and fork_available()))
         try:
             step = time.perf_counter()
-            self.program(jobs=jobs if use_steal else 1,
-                         parse_mode=("inline" if scheduler == "inline"
-                                     else None))
+            self.program(jobs=jobs)
             phases["parse"] = time.perf_counter() - step
             step = time.perf_counter()
-            artifacts = self.artifacts(
-                jobs=jobs, scheduler=(scheduler if use_steal else "wave"))
+            artifacts = self._shared_artifacts(jobs)
             phases["artifacts"] = time.perf_counter() - step
             tasks = self._build_tasks(names, artifacts)
             step = time.perf_counter()
-            if use_steal:
-                results, use_parallel = self._run_shards_steal(
-                    artifacts, tasks, jobs, scheduler)
-            else:
-                results, use_parallel = self._run_shards_pool(
-                    artifacts, tasks, jobs)
+            results, executor = self._run_shards(artifacts, tasks, jobs)
             phases["checkers"] = time.perf_counter() - step
         finally:
-            executor = self._executor
             self._close_executor()
 
         shards: dict[str, list[tuple[int, dict]]] = {name: [] for name in names}
@@ -966,8 +746,8 @@ class AnalysisEngine:
         report = EngineReport(
             corpus_files=[f.filename for f in self.files],
             precision=self.precision.name.lower(),
-            jobs=jobs if use_parallel else 1,
-            parallel=use_parallel,
+            jobs=jobs if executor.parallel else 1,
+            parallel=executor.parallel,
         )
         for name in names:
             payloads = [payload for _, payload in sorted(shards[name])]
@@ -983,8 +763,7 @@ class AnalysisEngine:
                               "const_solve_ms": round(
                                   self._consts_solve_seconds * 1000, 3)}
         report.summary_stats = self.summary_stats(artifacts)
-        mode = ("serial" if not use_parallel and not use_steal
-                else scheduler if use_steal else "wave")
+        mode = "work-steal" if executor.parallel else "serial"
         report.perf = self._perf_payload(mode, phases, executor)
         if self._parse_stats is not None:
             report.perf["parse"] = self._parse_stats.to_dict()

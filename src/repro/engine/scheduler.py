@@ -1,21 +1,21 @@
 """Dependency-counted work-stealing task scheduler for the engine.
 
-The wave-barrier scheduler (PR 3) solved each dependency *wave* of the SCC
-condensation with one ``Pool.map`` and waited for the whole wave before
-starting the next — a single straggler left every other worker idle, and
-each phase (constant facts, summaries, checker shards) forked its own pool.
-This module replaces that with a ready-queue executor:
+Every engine run and every incremental pass computes its constant facts,
+SCC summaries and checker shards as one task graph, driven by one of two
+executors with the same API:
 
 * the engine submits one :class:`Task` per unit of work with its explicit
   dependency edges (``deps``).  Each task carries a pending-dependency
   counter; completing a task decrements its dependents and enqueues every
   newly-ready task — there is no inter-wave barrier, so a long chain and a
   pile of independent leaves drain concurrently;
-* one pool of forked workers persists across *all* phases of a run.  Each
-  worker owns an inbox queue and pulls continuously; the parent assigns
-  ready tasks to idle workers the moment either appears, and batches large
-  ready backlogs into chunks so per-task dispatch overhead stays amortized
-  (the same trick ``Pool.map``'s chunksize plays, without the barrier);
+* :class:`WorkStealingExecutor` forks one pool of workers that persists
+  across *all* phases of a run.  Each worker owns an inbox queue and pulls
+  continuously; the parent assigns ready tasks to idle workers the moment
+  either appears, and batches large ready backlogs into chunks so per-task
+  dispatch overhead stays amortized;
+* :class:`InlineExecutor` runs the same graph in the caller — the serial
+  path, not a separate implementation of it;
 * ``broadcast()`` pushes a (tag, value) pair into every worker's inbox —
   inbox FIFO order guarantees a worker sees the broadcast before any task
   dispatched after it, which is how the checker-shard phase ships the
@@ -25,6 +25,10 @@ This module replaces that with a ready-queue executor:
   serial, scrambled-inline and parallel runs are byte-identical by
   construction (``InlineExecutor(pick=...)`` exists to assert exactly
   that in tests).
+
+:func:`open_executor` picks the executor from what it can observe; no
+option selects it.  What a per-wave barrier would have cost is replayed
+from the recorded task costs (``barrier_span_estimate``).
 
 :class:`TaskGraph` is the pure scheduling core (dependency counters and the
 FIFO ready queue) so its starvation behavior can be tested without
@@ -116,7 +120,7 @@ class SchedulerStats:
     """
 
     jobs: int = 1
-    #: Dispatch batch cap in effect (``--chunk``, default ``MAX_CHUNK``).
+    #: Dispatch batch cap in effect (default ``MAX_CHUNK``).
     max_chunk: int = MAX_CHUNK
     tasks: int = 0
     chunks: int = 0
@@ -529,3 +533,23 @@ class WorkStealingExecutor:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def open_executor(jobs: int, handler: TaskHandler, tasks: int,
+                  pick: Callable[[list[str]], int] | None = None):
+    """The executor for a run asking for ``jobs`` workers over ``tasks``.
+
+    Forking more workers than cores only adds fork/IPC cost while
+    time-slicing the same CPUs, so the pool is clamped to the affinity mask
+    — with a floor of 2, so an explicit ``jobs >= 2`` still gets a real pool
+    and parallel behavior stays testable everywhere.  The graph runs inline
+    when that width is below 2, fork is unavailable, or there are fewer
+    than 2 tasks to spread.  Schedule replays use the requested width.
+    """
+    effective = min(jobs, max(2, usable_cpus()))
+    if effective < 2 or tasks < 2 or not fork_available():
+        executor = InlineExecutor(handler, pick=pick)
+    else:
+        executor = WorkStealingExecutor(effective, handler)
+    executor.stats.sim_jobs = jobs
+    return executor

@@ -58,21 +58,13 @@ from ..dataflow.interproc import (
     callgraph_fingerprint,
     condense_callgraph,
     scc_fingerprints,
-    solve_scc,
 )
-from ..dataflow.summaries import build_context
 from ..deputy.checker import DeputyOptions
 from ..deputy.typesystem import TypeEnv
 from ..engine.analyses import ANALYSIS_ORDER, diagnostics_report, make_registry
 from ..engine.artifacts import SharedArtifacts, unit_function_map
-from ..engine.core import EngineReport, _make_steal_handler
-from ..engine.scheduler import (
-    Task,
-    WorkStealingExecutor,
-    fork_available,
-    resolve_jobs,
-    usable_cpus,
-)
+from ..engine.core import EngineReport, make_task_handler, scc_tasks
+from ..engine.scheduler import open_executor, resolve_jobs
 from ..blockstop.runtime_checks import RuntimeCheckSet
 from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, _diagnostic_kind
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
@@ -89,33 +81,6 @@ from ..minic.visitor import walk
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:32]
-
-
-def _dirty_scc_payload(scc, graph, condensation, consts, clean, dirty):
-    """Late-bound payload for one dirty SCC task.
-
-    Ships ``(scc, needed, member_facts)`` exactly like the engine's steal
-    path, except out-of-component callee summaries can come from *either*
-    a dirty dependency's task result or the clean store (``clean``)."""
-
-    def payload_fn(results):
-        members = set(scc)
-        needed = {}
-        for name in scc:
-            for callee in graph.edges.get(name, ()):
-                if callee in members or callee in needed:
-                    continue
-                owner = condensation.scc_of.get(callee)
-                if owner in dirty:
-                    component = results.get(f"scc:{owner}")
-                    if component is not None and callee in component:
-                        needed[callee] = component[callee]
-                elif callee in clean:
-                    needed[callee] = clean[callee]
-        member_facts = {name: consts[name] for name in scc if name in consts}
-        return (scc, needed, member_facts)
-
-    return payload_fn
 
 
 def _content_key(corpus_file: CorpusFile) -> str:
@@ -240,10 +205,10 @@ class IncrementalAnalyzer:
     :class:`~repro.engine.AnalysisEngine` would produce over the same
     sources; ``last_stats`` records what the pass reused.  Passes are
     serialized — the service runs them behind a lock and publishes
-    immutable snapshots for readers — but *within* a pass the dirty-SCC
-    re-solve can fan out over the engine's work-stealing executor when
-    ``jobs`` allows it (the merge replays serial wave order, so the
-    report stays byte-identical either way).
+    immutable snapshots for readers — but *within* a pass the dirty SCCs
+    are one task graph on the engine's executors, fanned out over a
+    work-stealing pool when ``jobs`` allows it (the merge replays wave
+    order, so the report stays byte-identical either way).
     """
 
     def __init__(self,
@@ -262,7 +227,7 @@ class IncrementalAnalyzer:
         #: over an unchanged corpus warm-starts with ~0 dirty SCCs.
         self.store = store
         #: Worker processes for the dirty-SCC re-solve (0 = auto-detect);
-        #: passes with fewer than two dirty components stay serial.
+        #: passes with fewer than two dirty components run in-process.
         self.jobs = jobs
         self.registry = make_registry(deputy_options, runtime_checks)
         self._printer = PrettyPrinter()
@@ -683,62 +648,50 @@ class IncrementalAnalyzer:
     def _solve_summaries(self, program: Program, graph, pointsto,
                          condensation, consts: dict, scc_keys: list[str],
                          stats: IncrementalStats) -> dict:
-        """Bottom-up solve reusing clean components from the SCC store.
+        """Bottom-up solve reusing clean components from the SCC stores.
 
-        Mirrors :func:`repro.dataflow.interproc.solve_summaries` wave
-        order exactly (dict iteration order is observable downstream);
-        dirty components start at lattice bottom with their clean
-        dependencies supplied, so the result is the batch least fixpoint.
-        When ``jobs`` allows it the dirty components are pre-solved on the
-        work-stealing executor; the loop below still merges in serial wave
-        order, so parallel and serial passes are byte-identical.
+        Clean components come from memory or, after a restart, from the
+        persistent store; the dirty ones are solved by
+        :meth:`_presolve_dirty`.  The merge follows wave order exactly, as
+        :func:`repro.dataflow.interproc.solve_summaries` does (dict iteration
+        order is observable downstream), so the result is the batch least
+        fixpoint whatever executor solved it.
         """
-        ctx = build_context(program, graph, consts=consts)
-        # Components missing from memory may still be on disk: prefetch
-        # them so they are neither scheduled on the pool nor re-solved.
-        from_disk: dict[str, dict] = {}
-        if self.store is not None:
-            for index in range(len(condensation.sccs)):
-                key = scc_keys[index]
-                if key in self._scc_store or key in from_disk:
-                    continue
+        reused: dict[int, dict] = {}
+        disk_touches: list[str] = []
+        for index, key in enumerate(scc_keys):
+            component = self._scc_store.get(key)
+            if component is not None:
+                disk_touches.append(key)
+            elif self.store is not None:
                 wrapped = self.store.get("scc", key)
                 if wrapped is not None:
-                    from_disk[key] = wrapped[0]
+                    component = wrapped[0]
                     stats.store_hits += 1
-        dirty_indices = {index for index in range(len(condensation.sccs))
-                         if scc_keys[index] not in self._scc_store
-                         and scc_keys[index] not in from_disk}
+            if component is not None:
+                reused[index] = component
+        dirty = [index for index in range(len(scc_keys))
+                 if index not in reused]
         presolved = self._presolve_dirty(program, graph, pointsto,
-                                         condensation, consts, scc_keys,
-                                         dirty_indices, stats)
+                                         condensation, consts, reused,
+                                         dirty, stats)
         solved: dict = {}
         store: dict[str, dict] = {}
-        dirty: list[str] = []
+        dirty_functions: list[str] = []
         disk_writes: dict[str, dict] = {}
-        disk_touches: list[str] = []
         for wave in condensation.waves:
             for index in wave:
-                scc = condensation.sccs[index]
                 key = scc_keys[index]
-                component = self._scc_store.get(key)
-                if component is not None:
-                    stats.sccs_reused += 1
-                    disk_touches.append(key)
-                elif key in from_disk:
-                    component = from_disk[key]
-                    stats.sccs_reused += 1
-                else:
-                    if presolved is not None and index in presolved:
-                        component = presolved[index]
-                    else:
-                        component = solve_scc(scc, ctx, graph, solved)
-                    dirty.extend(scc)
+                component = reused.get(index)
+                if component is None:
+                    component = presolved[index]
+                    dirty_functions.extend(condensation.sccs[index])
                     disk_writes[key] = component
                 store[key] = component
                 solved.update(component)
-        stats.dirty_sccs = len(condensation.sccs) - stats.sccs_reused
-        stats.dirty_functions = sorted(dirty)
+        stats.sccs_reused = len(reused)
+        stats.dirty_sccs = len(dirty)
+        stats.dirty_functions = sorted(dirty_functions)
         self._scc_store = store
         if self.store is not None:
             self.store.put_many(
@@ -749,45 +702,33 @@ class IncrementalAnalyzer:
         return solved
 
     def _presolve_dirty(self, program, graph, pointsto, condensation,
-                        consts: dict, scc_keys: list[str],
-                        dirty: set[int],
-                        stats: IncrementalStats) -> dict | None:
-        """Solve the dirty components on a work-stealing pool, or ``None``.
+                        consts: dict, reused: dict[int, dict],
+                        dirty: list[int],
+                        stats: IncrementalStats) -> dict[int, dict]:
+        """Solve the dirty components as one task graph.
 
-        Only the *dirty* subgraph is scheduled: each dirty SCC depends on
-        its dirty callee components (clean callee summaries come from the
-        store and ship with the task payload), so the pool drains exactly
-        the invalidated slice of the condensation with no barriers.  The
-        pool forks fresh per pass — it must inherit *this* pass's parse.
+        Only the *dirty* slice of the condensation is scheduled: each dirty
+        SCC depends on its dirty callee components, while clean callee
+        summaries (``reused``, from memory or the store) ship with the task
+        payload.  The executor opens fresh per pass — a pool must inherit
+        *this* pass's parse — and runs in-process when ``jobs`` or the
+        slice is too small to spread (see
+        :func:`repro.engine.scheduler.open_executor`).
         """
-        jobs = resolve_jobs(self.jobs)
-        if jobs < 2 or not fork_available() or len(dirty) < 2:
-            return None
-        effective = min(jobs, max(2, usable_cpus()))
+        if not dirty:
+            return {}
         clean: dict = {}
-        for index, scc in enumerate(condensation.sccs):
-            if index not in dirty:
-                clean.update(self._scc_store[scc_keys[index]])
-        wave_of = {index: depth
-                   for depth, wave in enumerate(condensation.waves)
-                   for index in wave}
-        tasks = []
-        for index in sorted(dirty):
-            deps = tuple(f"scc:{callee}"
-                         for callee in condensation.scc_callees.get(index, ())
-                         if callee in dirty)
-            tasks.append(Task(
-                id=f"scc:{index}", kind="scc", deps=deps,
-                payload_fn=_dirty_scc_payload(condensation.sccs[index], graph,
-                                              condensation, consts, clean,
-                                              dirty),
-                wave=wave_of.get(index, 0)))
-        handler = _make_steal_handler(program, graph, pointsto,
-                                      self.precision, self.registry)
-        with WorkStealingExecutor(effective, handler) as executor:
+        for component in reused.values():
+            clean.update(component)
+        tasks = scc_tasks(graph, condensation, dirty, consts, clean=clean)
+        handler = make_task_handler(program, graph, pointsto,
+                                    self.precision, self.registry)
+        with open_executor(resolve_jobs(self.jobs), handler,
+                           len(tasks)) as executor:
             results = executor.run(tasks)
-        stats.parallel_jobs = effective
-        return {index: results[f"scc:{index}"] for index in sorted(dirty)}
+        if executor.parallel:
+            stats.parallel_jobs = executor.stats.jobs
+        return {index: results[f"scc:{index}"] for index in dirty}
 
     def _shard_key(self, analysis, name: str, filename: str,
                    functions: list[str], loc_hashes: dict[str, str],

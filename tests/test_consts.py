@@ -21,9 +21,9 @@ from repro.dataflow.consts import (
     trackable_names,
     transfer_expr,
 )
-from repro.dataflow.domains import solve_program_facts
 from repro.deputy.checker import ObligationKind, ObligationStatus, check_program
 from repro.engine.cli import main as cli_main
+from repro.engine.artifacts import build_shared_artifacts
 from repro.engine.core import AnalysisEngine
 from repro.kernel.build import parse_corpus
 from repro.kernel.corpus import CorpusFile
@@ -625,12 +625,14 @@ class TestEngineConstsArtifact:
                 == report_two.analyses["lockcheck"].metrics)
 
     def test_parallel_solve_matches_serial(self):
+        """A pooled engine run merges its per-TU consts tasks in program
+        order: the facts equal the inline reference solve, order included."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         engine = AnalysisEngine()
-        program = engine.program()
-        serial = solve_program_facts(program)
-        parallel = engine._compute_consts(program, jobs=3)
+        assert engine.run(analyses="lockcheck", jobs=3).parallel
+        parallel = engine.artifacts().consts
+        serial = build_shared_artifacts(engine.program()).consts
         assert parallel == serial
         assert list(parallel) == list(serial)   # merge order identical too
 

@@ -157,8 +157,7 @@ class TestParallel:
             assert parallel_result.metrics == serial_result.metrics, name
 
     def test_work_steal_report_identical_to_serial(self, engine_report):
-        steal = AnalysisEngine().run(analyses="all", jobs=2,
-                                     scheduler="work-steal")
+        steal = AnalysisEngine().run(analyses="all", jobs=2)
         assert normalized_report(steal) == normalized_report(engine_report)
         scheduler_stats = steal.perf["scheduler"]
         assert scheduler_stats["mode"] == "work-steal"
@@ -166,31 +165,37 @@ class TestParallel:
         assert 0.0 <= scheduler_stats["worker_idle_ratio"] <= 1.0
         assert set(steal.perf["phases"]) >= {"parse", "artifacts", "checkers"}
 
-    def test_wave_mode_report_identical_to_serial(self, engine_report):
-        wave = AnalysisEngine().run(analyses="all", jobs=2, scheduler="wave")
-        assert normalized_report(wave) == normalized_report(engine_report)
-
     def test_scrambled_completion_order_byte_identical(self, engine_report):
         """Out-of-order task completion must never change the report.
 
-        The inline executor runs the exact work-steal task graph in-process
-        with an adversarial ready-queue pick, so tasks complete in a
-        scrambled (but dependency-legal) order; the merged report must be
-        byte-identical with the serial run regardless."""
+        A serial run drives the inline executor over the same task graph
+        as a parallel one; an adversarial ready-queue pick makes tasks
+        complete in a scrambled (but dependency-legal) order, and the
+        merged report must be byte-identical with the FIFO serial run
+        regardless."""
         import random
 
         rng = random.Random(20260808)
         engine = AnalysisEngine()
         engine._inline_pick = lambda ready: rng.randrange(len(ready))
-        scrambled = engine.run(analyses="all", jobs=1, scheduler="inline")
+        scrambled = engine.run(analyses="all", jobs=1)
         assert normalized_report(scrambled) == normalized_report(engine_report)
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            AnalysisEngine().run(analyses="all", jobs=2, scheduler="magic")
+        assert scrambled.perf["scheduler"]["mode"] == "serial"
 
     def test_jobs_one_stays_serial(self, engine_report):
         assert not engine_report.parallel
+        scheduler_stats = engine_report.perf["scheduler"]
+        assert scheduler_stats["mode"] == "serial"
+        assert scheduler_stats["tasks"] > 0
+        assert "barrier_span_estimate" in scheduler_stats
+
+    def test_standalone_artifacts_close_their_executor(self):
+        """artifacts() outside run() must not leave its executor open: a
+        later parallel run would otherwise reuse the stale inline one."""
+        engine = AnalysisEngine()
+        engine.artifacts()
+        assert engine._executor is None
+        assert engine.run(analyses="all", jobs=2).parallel
 
     def test_report_rendering_byte_identical_serial_vs_parallel(
             self, engine_report, tmp_path, capsys):

@@ -18,7 +18,7 @@ from repro.dataflow import (
     condense_callgraph,
     solve_summaries,
 )
-from repro.engine import AnalysisEngine
+from repro.engine import AnalysisEngine, build_shared_artifacts
 from repro.engine.cli import main as cli_main
 from repro.machine import link_units
 from repro.minic import parse_source
@@ -436,18 +436,15 @@ class TestKernelCorpusInterproc:
 # ---------------------------------------------------------------------------
 
 class TestEngineSummaries:
-    def test_wave_parallel_solve_matches_serial(self, kernel_program):
+    def test_wave_parallel_solve_matches_serial(self):
+        """A pooled engine run merges its SCC tasks in wave order: the
+        summaries equal the inline reference solve, order included."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        graph, indirect = build_direct_callgraph(kernel_program)
-        analysis = FunctionPointerAnalysis(kernel_program, Precision.TYPE_BASED)
-        analysis.collect()
-        analysis.resolve(graph, indirect)
-        condensation = condense_callgraph(graph)
-        serial = solve_summaries(kernel_program, graph, condensation)
         engine = AnalysisEngine()
-        parallel = engine._compute_summaries(kernel_program, graph,
-                                             condensation, jobs=3)
+        assert engine.run(analyses="stackcheck", jobs=3).parallel
+        parallel = engine.artifacts().summaries
+        serial = build_shared_artifacts(engine.program()).summaries
         assert parallel == serial
         assert list(parallel) == list(serial)   # merge order identical too
 

@@ -10,10 +10,12 @@ keeps concurrent ``POST /analyze`` bursts from stacking redundant passes.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
+from repro.engine.scheduler import fork_available
 from repro.kernel.corpus import KERNEL_FILES
 from repro.service import AnalysisService, IncrementalAnalyzer
 from repro.service.store import PersistentStore
@@ -157,6 +159,38 @@ class TestWarmRestart:
         # The touched TU's new artifacts spill to the store too.
         assert store.writes > store_writes
         store.close()
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_restart_after_edit_matches_cold_pass(self, tmp_path, jobs):
+        """An edit made while the service was down: the restarted analyzer
+        takes its clean components off disk and solves only the dirty slice
+        around them — with the same findings a cold pass produces."""
+        from dataclasses import replace
+
+        from repro.kernel.synth import generate_corpus
+
+        files = generate_corpus(1, 7)
+        store = PersistentStore(tmp_path)
+        IncrementalAnalyzer(files, store=store).analyze()
+        store.close()
+        last = files[-1]
+        edited = files[:-1] + (
+            replace(last, source=last.source.replace("return 0;",
+                                                     "return 1;", 1)),)
+
+        store = PersistentStore(tmp_path)
+        restarted = IncrementalAnalyzer(edited, store=store, jobs=jobs)
+        warm_report = restarted.analyze()
+        stats = restarted.last_stats
+        store.close()
+        assert stats.sccs_reused > 0 and stats.store_hits > 0
+        assert stats.dirty_sccs > 1
+        if jobs > 1 and fork_available():
+            assert stats.parallel_jobs >= 2
+        cold_report = IncrementalAnalyzer(edited).analyze()
+        assert (json.dumps(warm_report.to_dict()["analyses"], sort_keys=True)
+                == json.dumps(cold_report.to_dict()["analyses"],
+                              sort_keys=True))
 
 
 class TestReconcileCoalescing:
