@@ -65,8 +65,9 @@ class CCountInstrumenter:
         return self.result
 
     def instrument_function(self, func: ast.FuncDef) -> None:
-        """Instrument one function in place (it need not be in ``program``;
-        the engine's per-unit shards pass private clones)."""
+        """Give ``func`` its instrumented body (it need not be in ``program``;
+        the engine's per-unit shards pass shallow copies, so the shared
+        definition keeps its original body)."""
         self._do_function(func)
 
     def _do_function(self, func: ast.FuncDef) -> None:
@@ -159,5 +160,7 @@ def instrument_program(program: Program, config: CCountConfig | None = None,
 def instrument_copy(program: Program,
                     config: CCountConfig | None = None) -> CCountInstrumentationResult:
     """Instrument a deep copy of ``program``, leaving the original untouched."""
+    # Deep, not path-copied: callers may go on to rewrite the result in place
+    # (the Deputy instrumenter assigns into expression nodes).
     clone = copy.deepcopy(program)
     return CCountInstrumenter(clone, config).run()

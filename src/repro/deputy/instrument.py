@@ -616,5 +616,7 @@ def instrument_program(program: Program,
 def instrument_copy(program: Program,
                     options: DeputyOptions | None = None) -> InstrumentationResult:
     """Instrument a deep copy of ``program``, leaving the original untouched."""
+    # Deep, not path-copied: the rewriter assigns into expression nodes in
+    # place (``expr.operand = check``), so no node may be shared.
     clone = copy.deepcopy(program)
     return DeputyInstrumenter(clone, options).run(rewrite=True)

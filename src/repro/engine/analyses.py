@@ -425,12 +425,14 @@ class StackcheckAnalysis(EngineAnalysis):
 class CCountAnalysis(EngineAnalysis):
     """CCount instrumentation planning (counts only; shared AST untouched).
 
-    The rewriter mutates trees in place, so planning deep-copies each shard's
-    function definitions and instruments the clones — still O(parse-once),
-    since nothing is re-parsed, and now shardable per translation unit: every
-    census counter is a per-function sum (a function's null-outs depend only
-    on its own body), and the type-layout registry is a pure function of the
-    shared program, computed once at merge.
+    The rewriter is a non-mutating :class:`~repro.minic.visitor.Transformer`,
+    so planning instruments a shallow copy of each shard's function
+    definitions: the copy gets a new body that shares every unrewritten
+    subtree with the shared AST.  Nothing is re-parsed or deep-copied, and
+    the census is shardable per translation unit: every census counter is a
+    per-function sum (a function's null-outs depend only on its own body),
+    and the type-layout registry is a pure function of the shared program,
+    computed once at merge.
     """
 
     name = "ccount"
@@ -449,7 +451,7 @@ class CCountAnalysis(EngineAnalysis):
                      if artifacts.unit_functions.get(unit.filename) == functions]
         instrumenter = CCountInstrumenter(program,
                                           typeinfo=build_typeinfo(program))
-        # The census counters run on the *instrumented* clones, matching the
+        # The census counters run on the *instrumented* copies, matching the
         # established harness census (build_conversion_report): the rewriter
         # turns plain null-out assignments into __ccount_ptr_write calls, so
         # counting before instrumentation would report different numbers for
@@ -459,7 +461,7 @@ class CCountAnalysis(EngineAnalysis):
         for unit in units:
             for decl in unit.decls:
                 if isinstance(decl, minic_ast.FuncDef):
-                    clone = copy.deepcopy(decl)
+                    clone = copy.copy(decl)
                     instrumenter.instrument_function(clone)
                     clones.append(clone)
                 else:

@@ -417,6 +417,8 @@ class AnalysisEngine:
         mutate the AST in place; they get a deep copy of the cached parse
         instead of re-parsing the corpus.
         """
+        # Deep, not path-copied: the Deputy instrumenter assigns into
+        # expression nodes in place (``expr.operand = check``).
         return copy.deepcopy(self.program())
 
     def fresh_kernel_program(self, config=None) -> Program | None:

@@ -4,6 +4,7 @@ the CLI's report formats."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -334,6 +335,54 @@ class TestSharedArtifacts:
         # The harness paths must survive a mismatched engine by re-parsing.
         from repro.harness import run_deputy_stats
         assert run_deputy_stats(engine=mismatched).shape_holds()
+
+
+# ---------------------------------------------------------------------------
+# CCount shards on the shared AST
+# ---------------------------------------------------------------------------
+
+def _program_structure(program, ast_structure):
+    return (ast_structure(program.units),
+            {name: ast_structure(func) for name, func in program.functions.items()},
+            {name: ast_structure(decl) for name, decl in program.globals.items()})
+
+
+class TestCCountShards:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shards_leave_shared_ast_untouched(self, jobs, ast_structure):
+        from repro.deputy.typesystem import TypeEnv
+
+        engine = AnalysisEngine()
+        program = engine.program()
+        # Building a TypeEnv folds trailing declarator annotations into the
+        # pointer types in place, for every analysis alike; settle that
+        # idempotent normalisation before the snapshot.
+        for func in program.functions.values():
+            TypeEnv(program, func)
+        before = copy.deepcopy(program)
+        report = engine.run(analyses="ccount", jobs=jobs)
+        assert report.analyses["ccount"].metrics["pointer_writes_instrumented"] > 0
+        assert engine.program() is program
+        assert (_program_structure(program, ast_structure)
+                == _program_structure(before, ast_structure))
+
+    @pytest.mark.parametrize("corpus", ["kernel", "synth"])
+    def test_metrics_match_whole_program_census(self, corpus):
+        from repro.ccount import build_conversion_report, instrument_copy
+        from repro.kernel.synth import generate_corpus
+
+        files = KERNEL_FILES if corpus == "kernel" else generate_corpus(1, 7)
+        engine = AnalysisEngine(files=files)
+        metrics = engine.run(analyses="ccount", jobs=1).analyses["ccount"].metrics
+        result = instrument_copy(engine.program())
+        census = build_conversion_report(result.program, result)
+        assert metrics["pointer_writes_instrumented"] == census.pointer_writes_instrumented
+        assert metrics["pointer_writes_skipped_local"] == census.pointer_writes_skipped_local
+        assert metrics["bulk_calls_converted"] == census.bulk_calls_converted
+        assert metrics["rtti_sites"] == census.rtti_sites
+        assert metrics["pointer_nullouts"] == census.pointer_nullouts
+        assert metrics["delayed_free_scopes"] == census.delayed_scopes
+        assert metrics["type_layouts"] == len(result.typeinfo.layouts)
 
 
 # ---------------------------------------------------------------------------
